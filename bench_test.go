@@ -372,9 +372,9 @@ func BenchmarkManagerMaintainTick(b *testing.B) {
 func BenchmarkStationSlot(b *testing.B) {
 	st, err := station.New(nr.Mu3(), station.Config{
 		ProbeBudget: 8, FramePeriod: 20e-3, MaxSessions: 64,
-		Workers: 1, Warmup: sim.StandardWarmup, AgingBoost: 0.25,
+		Warmup: sim.StandardWarmup, AgingBoost: 0.25,
 		Manager: manager.DefaultConfig(),
-	})
+	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -413,9 +413,9 @@ func BenchmarkStationSlot(b *testing.B) {
 func BenchmarkStationSlotQuiescent(b *testing.B) {
 	st, err := station.New(nr.Mu3(), station.Config{
 		ProbeBudget: 8, FramePeriod: 20e-3, MaxSessions: 64,
-		Workers: 1, Warmup: sim.StandardWarmup, AgingBoost: 0.25,
+		Warmup: sim.StandardWarmup, AgingBoost: 0.25,
 		Manager: manager.DefaultConfig(),
-	})
+	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -457,9 +457,8 @@ func BenchmarkHybridSlot(b *testing.B) {
 	hybrid.Enabled = true
 	defer func() { hybrid.Enabled = was }()
 	cfg := station.DefaultConfig()
-	cfg.Workers = 1
 	cfg.SDMA = station.SDMAConfig{Chains: 4, MinSeparationDeg: 0, MinSINRdB: -100}
-	st, err := station.New(nr.Mu3(), cfg)
+	st, err := station.New(nr.Mu3(), cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -533,18 +532,17 @@ func BenchmarkMMSECombiner(b *testing.B) {
 
 // BenchmarkClusterFrame measures the CoMP coordinator's steady-state cost
 // through the public cluster API: a quiescent 2-cell/2-UE hall deployment
-// (single-worker stations, tracking ablated as in the cluster package's
+// (inline stations, tracking ablated as in the cluster package's
 // own alloc pin), one 20 ms cluster frame per iteration — both member
 // stations' slot loops plus the coordinator's monitor/harvest work.
 func BenchmarkClusterFrame(b *testing.B) {
 	e, poses := env.MultiCellHall(env.Band28GHz(), 2)
 	ccfg := cluster.DefaultConfig()
 	ccfg.Seed = 31
-	ccfg.Station.Workers = 1
 	ccfg.Station.Manager.ProactiveTracking = false
 	cl, err := cluster.New(nr.Mu3(), ccfg, cluster.Deployment{
 		Env: e, Cells: poses, Budget: sim.IndoorBudget(),
-	})
+	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,9 +8,9 @@
 //	BenchmarkProbe-8   41946   6089 ns/op   0 B/op   0 allocs/op
 //
 // becomes an entry keyed by the benchmark name with the -cpu suffix
-// stripped:
+// stripped and recorded as the result's GOMAXPROCS:
 //
-//	"BenchmarkProbe": {"ns_per_op": 6089, "bytes_per_op": 0, "allocs_per_op": 0}
+//	"BenchmarkProbe": {"gomaxprocs": 8, "ns_per_op": 6089, "bytes_per_op": 0, "allocs_per_op": 0}
 //
 // Custom b.ReportMetric units (e.g. the metro layer's "UEs/sec" or the
 // station's "sessionslots/s") are captured under a "custom" map keyed by
@@ -31,7 +31,8 @@
 // A benchmark regresses when its ns/op grows by more than 15% (shared-CI
 // noise floor) AND by more than an absolute 250 ns floor — sub-microsecond
 // benchmarks jitter by more than 15% on timer noise alone — or when its
-// allocs/op increases at all. Custom b.ReportMetric units are compared
+// allocs/op increases at all. A warning line precedes the report when a
+// benchmark ran at a different GOMAXPROCS on the two sides. Custom b.ReportMetric units are compared
 // too, with the same 15% noise floor: rate units ("UEs/sec",
 // "sessionslots/s") regress when they SHRINK past the floor, cost units
 // (everything else, e.g. "ns/sessionslot") when they grow. A slower
@@ -58,10 +59,12 @@ import (
 	"mmreliable/internal/core"
 )
 
-// Result is one benchmark's parsed metrics. Custom holds any
-// b.ReportMetric units beyond the standard trio (e.g. "UEs/sec",
-// "sessionslots/s"), keyed by the unit string verbatim.
+// Result is one benchmark's parsed metrics. GOMAXPROCS is the -N suffix
+// of the benchmark name (0 when unknown, as in files written before it was
+// recorded). Custom holds any b.ReportMetric units beyond the standard trio
+// (e.g. "UEs/sec", "sessionslots/s"), keyed by the unit string verbatim.
 type Result struct {
+	GOMAXPROCS  int                `json:"gomaxprocs,omitempty"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  *int64             `json:"bytes_per_op,omitempty"`
@@ -125,18 +128,19 @@ func parseLine(line string) (string, Result, bool) {
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
 		return "", Result{}, false
 	}
-	// Strip the -<GOMAXPROCS> suffix so keys are stable across machines.
-	name := f[0]
+	// Split off the -<GOMAXPROCS> suffix so keys are stable across
+	// machines; the testing package omits it when GOMAXPROCS is 1.
+	name, procs := f[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
 		return "", Result{}, false
 	}
-	res := Result{Iterations: iters}
+	res := Result{GOMAXPROCS: procs, Iterations: iters}
 	ok := false
 	for i := 2; i+1 < len(f); i += 2 {
 		val, unit := f[i], f[i+1]
@@ -292,6 +296,9 @@ func runCompare(oldPath, newPath string, strict bool) int {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	if w := procsWarning(names, oldRes, newRes); w != "" {
+		fmt.Println(w)
+	}
 	regressions := 0
 	for _, name := range names {
 		o := oldRes[name]
@@ -342,6 +349,24 @@ func runCompare(oldPath, newPath string, strict bool) int {
 	}
 	fmt.Println("no regressions")
 	return 0
+}
+
+// procsWarning returns a warning line when any benchmark in names ran at a
+// different GOMAXPROCS in old and new (both sides known), or "" when none
+// did: timings taken at different core counts are not comparable.
+func procsWarning(names []string, oldRes, newRes map[string]Result) string {
+	var diff []string
+	for _, name := range names {
+		o, n := oldRes[name].GOMAXPROCS, newRes[name].GOMAXPROCS
+		if o != 0 && n != 0 && o != n {
+			diff = append(diff, fmt.Sprintf("%s %d -> %d", name, o, n))
+		}
+	}
+	if len(diff) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("WARNING  GOMAXPROCS differs on %d benchmark(s), timings not comparable: %s",
+		len(diff), strings.Join(diff, ", "))
 }
 
 // loadResultsFile reads one benchmark-result set from a file.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -113,5 +114,43 @@ func TestParseLineCustomMetrics(t *testing.T) {
 	}
 	if v := got["BenchmarkMetroFrame"].Custom["UEs/sec"]; v != 3876.5 {
 		t.Fatalf("custom metric lost in JSON round trip: %+v", got)
+	}
+}
+
+// TestGOMAXPROCSRecordedAndCompared pins the -N suffix handling: it is
+// stripped from the key, recorded as gomaxprocs (1 when absent), survives
+// the JSON round trip, and a mismatch between the two sides — but not an
+// unknown side — produces the comparison warning.
+func TestGOMAXPROCSRecordedAndCompared(t *testing.T) {
+	for _, c := range []struct {
+		line, name string
+		procs      int
+	}{
+		{"BenchmarkA-4   100   456 ns/op", "BenchmarkA", 4},
+		{"BenchmarkA   100   456 ns/op", "BenchmarkA", 1},
+		{"BenchmarkA/workers=2-8   100   456 ns/op", "BenchmarkA/workers=2", 8},
+		{"BenchmarkA/workers=2   100   456 ns/op", "BenchmarkA/workers=2", 1},
+	} {
+		name, r, ok := parseLine(c.line)
+		if !ok || name != c.name || r.GOMAXPROCS != c.procs {
+			t.Errorf("%q: name %q gomaxprocs %d ok=%v, want %q %d", c.line, name, r.GOMAXPROCS, ok, c.name, c.procs)
+		}
+	}
+
+	old, err := parseResults([]byte(`{"BenchmarkA": {"gomaxprocs":1,"iterations":100,"ns_per_op":456}, "BenchmarkB": {"iterations":100,"ns_per_op":9}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old["BenchmarkA"].GOMAXPROCS != 1 || old["BenchmarkB"].GOMAXPROCS != 0 {
+		t.Fatalf("gomaxprocs lost in JSON round trip: %+v", old)
+	}
+	names := []string{"BenchmarkA", "BenchmarkB"}
+	same, _ := parseResults([]byte("BenchmarkA   100   456 ns/op\nBenchmarkB-4   100   9 ns/op\n"))
+	if w := procsWarning(names, old, same); w != "" {
+		t.Errorf("matching or unknown GOMAXPROCS warned: %s", w)
+	}
+	diff, _ := parseResults([]byte("BenchmarkA-2   100   456 ns/op\nBenchmarkB-4   100   9 ns/op\n"))
+	if w := procsWarning(names, old, diff); !strings.Contains(w, "BenchmarkA 1 -> 2") || strings.Contains(w, "BenchmarkB") {
+		t.Errorf("warning %q, want one naming BenchmarkA 1 -> 2 only", w)
 	}
 }

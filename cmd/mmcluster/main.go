@@ -35,6 +35,7 @@ import (
 	"mmreliable/internal/env"
 	"mmreliable/internal/events"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/sim"
 	"mmreliable/internal/stats"
 )
@@ -56,7 +57,7 @@ func main() {
 	ues := flag.Int("ues", 4, "number of UEs dropped on the hall lattice")
 	duration := flag.Float64("duration", 0.5, "simulated duration in seconds (warmup included)")
 	seed := flag.Int64("seed", 1, "base seed; per-pair streams are derived via seeds.Mix")
-	workers := flag.Int("workers", 0, "worker goroutines per station (0 = GOMAXPROCS); output is identical for any value")
+	workers := flag.Int("workers", 0, "worker goroutines stepping sessions, shared by every cell (0 = GOMAXPROCS); output is identical for any value")
 	budget := flag.Int("budget", cluster.DefaultConfig().Station.ProbeBudget, "per-cell probe grants per frame (0 = unlimited); monitor probes are charged against it")
 	blockage := flag.Bool("blockage", false, "deep body blocker crossing each UE's nearest-cell link, onset staggered per UE")
 	churn := flag.Bool("churn", false, "mid-run churn: every 4th UE attaches at 0.3×duration, every 5th detaches at 0.7×duration")
@@ -113,11 +114,12 @@ func main() {
 	e, poses := env.MultiCellHall(env.Band28GHz(), *cells)
 	cfg := cluster.DefaultConfig()
 	cfg.Seed = *seed
-	cfg.Station.Workers = *workers
 	cfg.Station.ProbeBudget = *budget
+	p := pool.New(*workers)
+	defer p.Close()
 	cl, err := cluster.New(nr.Mu3(), cfg, cluster.Deployment{
 		Env: e, Cells: poses, Budget: sim.IndoorBudget(),
-	})
+	}, p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

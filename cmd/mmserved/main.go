@@ -141,7 +141,9 @@ func main() {
 
 	var httpSrv *http.Server
 	if *listen != "" {
-		httpSrv = &http.Server{Addr: *listen, Handler: s.Handler()}
+		// ReadHeaderTimeout stops a client that never finishes its headers
+		// from holding a connection open; bodies are capped by the handler.
+		httpSrv = &http.Server{Addr: *listen, Handler: s.Handler(), ReadHeaderTimeout: 5 * time.Second}
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "mmserved:", err)

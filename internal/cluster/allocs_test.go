@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -32,7 +33,6 @@ func quiesceCluster(t testing.TB, workers int) *Cluster {
 	e, poses := env.MultiCellHall(env.Band28GHz(), 2)
 	cfg := DefaultConfig()
 	cfg.Seed = 31
-	cfg.Station.Workers = workers
 	// Static UEs, so the §4.2 mobility loop is pure noise response here:
 	// sounder jitter on the hall's longer links periodically triggers a
 	// re-alignment whose weight recomposition intentionally allocates
@@ -40,7 +40,7 @@ func quiesceCluster(t testing.TB, workers int) *Cluster {
 	// the paper's own "w/o tracking" ablation — to isolate the frame
 	// loop's quiescent steady state.
 	cfg.Station.Manager.ProactiveTracking = false
-	cl, err := New(nr.Mu3(), cfg, Deployment{Env: e, Cells: poses, Budget: sim.IndoorBudget()})
+	cl, err := New(nr.Mu3(), cfg, Deployment{Env: e, Cells: poses, Budget: sim.IndoorBudget()}, newPool(t, workers))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -63,19 +63,29 @@ func quiesceCluster(t testing.TB, workers int) *Cluster {
 }
 
 // TestClusterSlotAllocs pins the steady-state cluster frame loop at zero
-// allocations: retained monitor sounders/models/beams, the member
-// stations' pinned slot loops, and barrier-only coordination keep
-// AdvanceFrame off the allocator once every leg is established.
+// allocations, inline and with the cells sharing a 4-worker pool: retained
+// monitor sounders/models/beams, the member stations' pinned slot loops,
+// and barrier-only coordination keep AdvanceFrame off the allocator once
+// every leg is established.
 func TestClusterSlotAllocs(t *testing.T) {
-	cl := quiesceCluster(t, 1) // the stations' inline single-worker path
-	avg := testing.AllocsPerRun(10, cl.AdvanceFrame)
-	if avg != 0 {
-		t.Fatalf("AdvanceFrame allocates %.1f allocs/frame in steady state, want 0", avg)
-	}
-	// Bytes too — amortized episode-buffer appends used to leak ~240 B/frame
-	// here while rounding to 0 allocs/op.
-	if bytes := heapBytesPerRun(50, cl.AdvanceFrame); bytes != 0 {
-		t.Fatalf("AdvanceFrame allocates %.1f B/frame in steady state, want 0", bytes)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cl := quiesceCluster(t, workers)
+			avg := testing.AllocsPerRun(10, cl.AdvanceFrame)
+			if avg != 0 {
+				t.Fatalf("AdvanceFrame allocates %.1f allocs/frame in steady state, want 0", avg)
+			}
+			// Bytes too — amortized episode-buffer appends used to leak
+			// ~240 B/frame here while rounding to 0 allocs/op. Inline only,
+			// for the reason given in the station pin: a pool worker's
+			// scratch arena grows on that worker's first claimed session.
+			if workers > 1 {
+				return
+			}
+			if bytes := heapBytesPerRun(50, cl.AdvanceFrame); bytes != 0 {
+				t.Fatalf("AdvanceFrame allocates %.1f B/frame in steady state, want 0", bytes)
+			}
+		})
 	}
 }
 

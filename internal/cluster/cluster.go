@@ -17,8 +17,8 @@
 // decision — admission, cell selection, handover, standby retargeting,
 // monitor probing — runs single-threaded at frame boundaries on state the
 // member stations published at their barriers. Inside a frame, cells
-// advance strictly in cell-index order, each over its own worker pool with
-// session-private scenarios, models, and RNG streams derived from
+// advance strictly in cell-index order, each spreading its sessions across
+// the one pool the cluster was handed, with session-private scenarios, models, and RNG streams derived from
 // seeds.Mix(Seed, label, ue, cell). Output is therefore byte-identical at
 // any worker count, like the station engine and experiments.ParallelTrials.
 // Steady-state frames (no lifecycle events, no outage episodes) are
@@ -35,6 +35,7 @@ import (
 	"mmreliable/internal/incr"
 	"mmreliable/internal/link"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/scratch"
 	"mmreliable/internal/station"
 )
@@ -178,8 +179,10 @@ type monPair struct {
 }
 
 // New builds a cluster over the deployment. The member stations share the
-// numerology and the cluster's frame period.
-func New(num nr.Numerology, cfg Config, dep Deployment) (*Cluster, error) {
+// numerology, the cluster's frame period and p: cells step in index order,
+// each spreading its sessions across p (nil steps everything inline). The
+// cluster borrows p and never closes it.
+func New(num nr.Numerology, cfg Config, dep Deployment, p *pool.Pool) (*Cluster, error) {
 	if err := num.Validate(); err != nil {
 		return nil, err
 	}
@@ -218,7 +221,7 @@ func New(num nr.Numerology, cfg Config, dep Deployment) (*Cluster, error) {
 		monWS:     scratch.New(),
 	}
 	for i := range dep.Cells {
-		st, err := station.New(num, scfg)
+		st, err := station.New(num, scfg, p)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"mmreliable/internal/incr"
 	"mmreliable/internal/link"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/sim"
 )
 
@@ -39,6 +40,14 @@ func servingBlockage(i int) events.Schedule {
 	}}
 }
 
+// newPool returns a pool of the given size that is closed when the test
+// ends.
+func newPool(t testing.TB, workers int) *pool.Pool {
+	p := pool.New(workers)
+	t.Cleanup(p.Close)
+	return p
+}
+
 // buildCluster assembles a cluster over the multi-cell hall: n UEs on the
 // deterministic drop lattice, each with (optionally) a deep blocker
 // crossing its nearest cell's link, plus mid-run churn (every fourth UE
@@ -54,11 +63,10 @@ func buildClusterWith(t testing.TB, cells, ues, workers int, seed int64, blocked
 	e, poses := env.MultiCellHall(env.Band28GHz(), cells)
 	cfg := DefaultConfig()
 	cfg.Seed = seed
-	cfg.Station.Workers = workers
 	if mut != nil {
 		mut(&cfg)
 	}
-	cl, err := New(nr.Mu3(), cfg, Deployment{Env: e, Cells: poses, Budget: sim.IndoorBudget()})
+	cl, err := New(nr.Mu3(), cfg, Deployment{Env: e, Cells: poses, Budget: sim.IndoorBudget()}, newPool(t, workers))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -232,23 +240,22 @@ func TestClusterMonitorBudgetCharged(t *testing.T) {
 func TestClusterAdmissionAndValidation(t *testing.T) {
 	e, poses := env.MultiCellHall(env.Band28GHz(), 2)
 	dep := Deployment{Env: e, Cells: poses, Budget: sim.IndoorBudget()}
-	if _, err := New(nr.Mu3(), DefaultConfig(), Deployment{Env: e, Budget: sim.IndoorBudget()}); err == nil {
+	if _, err := New(nr.Mu3(), DefaultConfig(), Deployment{Env: e, Budget: sim.IndoorBudget()}, nil); err == nil {
 		t.Fatal("no cells accepted")
 	}
 	bad := DefaultConfig()
 	bad.MonitorEvery = 0
-	if _, err := New(nr.Mu3(), bad, dep); err == nil {
+	if _, err := New(nr.Mu3(), bad, dep, nil); err == nil {
 		t.Fatal("MonitorEvery 0 accepted")
 	}
 	bad = DefaultConfig()
 	bad.MonitorElems = 99
-	if _, err := New(nr.Mu3(), bad, dep); err == nil {
+	if _, err := New(nr.Mu3(), bad, dep, nil); err == nil {
 		t.Fatal("MonitorElems > ArrayElems accepted")
 	}
 	cfg := DefaultConfig()
-	cfg.Station.Workers = 1
 	cfg.Station.MaxSessions = 1 // each cell can hold ONE leg
-	cl, err := New(nr.Mu3(), cfg, dep)
+	cl, err := New(nr.Mu3(), cfg, dep, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

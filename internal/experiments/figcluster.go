@@ -8,6 +8,7 @@ import (
 	"mmreliable/internal/env"
 	"mmreliable/internal/events"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/sim"
 	"mmreliable/internal/stats"
 )
@@ -41,14 +42,15 @@ func ExtensionCluster(cfg Config) *stats.Table {
 	t := stats.NewTable(
 		"Extension E6 — multi-cell macro-diversity under serving-link blockage",
 		"cells", "rel_serving", "rel_diversity", "out_ms", "div_out_ms", "handovers", "pingpong", "overhead_pct")
+	p := pool.New(cfg.workers())
+	defer p.Close()
 	for _, n := range cells {
 		e, poses := env.MultiCellHall(env.Band28GHz(), n)
 		ccfg := cluster.DefaultConfig()
 		ccfg.Seed = cfg.trialSeed(labelExtCluster, 0)
-		ccfg.Station.Workers = cfg.Workers
 		cl, err := cluster.New(nr.Mu3(), ccfg, cluster.Deployment{
 			Env: e, Cells: poses, Budget: sim.IndoorBudget(),
-		})
+		}, p)
 		if err != nil {
 			panic(err)
 		}

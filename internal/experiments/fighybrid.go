@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/sim"
 	"mmreliable/internal/station"
 	"mmreliable/internal/stats"
@@ -50,14 +51,15 @@ func ExtensionHybrid(cfg Config) *stats.Table {
 		{"multi", station.DefaultSDMAConfig(1), 0},
 		{"sdma", station.DefaultSDMAConfig(4), 0},
 	}
+	p := pool.New(cfg.workers())
+	defer p.Close()
 	run := func(n int, arm int) station.Results {
 		scfg := station.DefaultConfig()
-		scfg.Workers = cfg.Workers
 		scfg.SDMA = arms[arm].sdma
 		if arms[arm].maxBeams > 0 {
 			scfg.Manager.MaxBeams = arms[arm].maxBeams
 		}
-		st, err := station.New(nr.Mu3(), scfg)
+		st, err := station.New(nr.Mu3(), scfg, p)
 		if err != nil {
 			panic(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/sim"
 	"mmreliable/internal/station"
 	"mmreliable/internal/stats"
@@ -31,13 +32,14 @@ func ExtensionStation(cfg Config) *stats.Table {
 		duration = 0.3
 	}
 	scfg := station.DefaultConfig()
-	scfg.Workers = cfg.Workers
+	p := pool.New(cfg.workers())
+	defer p.Close()
 	t := stats.NewTable(
 		fmt.Sprintf("Extension E5 — serving-cell capacity under a %d-grant/frame probe budget",
 			scfg.ProbeBudget),
 		"ues", "reliability", "median_snr_dB", "overhead_pct", "grants", "denials", "preempt", "minmax_grant")
 	for _, n := range ues {
-		st, err := station.New(nr.Mu3(), scfg)
+		st, err := station.New(nr.Mu3(), scfg, p)
 		if err != nil {
 			panic(err)
 		}

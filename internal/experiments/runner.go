@@ -3,17 +3,16 @@ package experiments
 import (
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"mmreliable/internal/pool"
 	"mmreliable/internal/scratch"
 	"mmreliable/internal/seeds"
 )
 
 // This file is the deterministic parallel experiment engine: every
-// Monte-Carlo figure generator shards its independent trials across a
-// worker pool via ParallelTrials, and every trial draws randomness from
-// its own SplitMix-derived stream. Because a trial's stream depends only
+// Monte-Carlo figure generator shards its independent trials across an
+// internal/pool executor via ParallelTrials, and every trial draws
+// randomness from its own SplitMix-derived stream. Because a trial's stream depends only
 // on (Config.Seed, experiment label, trial index) — never on scheduling
 // order or worker count — the produced tables are byte-identical for any
 // Workers setting. See DESIGN.md §"Parallel experiment engine".
@@ -81,7 +80,7 @@ func (c Config) workers() int {
 
 // ParallelTrials runs n independent Monte-Carlo trials of one experiment
 // across the Config's worker pool and returns the per-trial results in
-// trial order.
+// trial order. The pool lives for the one call.
 //
 // Determinism contract: fn receives a private *rand.Rand derived from
 // (cfg.Seed, label, trial) by SplitMix64 mixing, and its result lands at
@@ -102,35 +101,15 @@ func ParallelTrials[T any](cfg Config, label int64, n int, fn func(trial int, rn
 		return nil
 	}
 	out := make([]T, n)
-	w := cfg.workers()
-	if w > n {
-		w = n
+	p := pool.New(min(cfg.workers(), n))
+	defer p.Close()
+	wss := make([]*scratch.Workspace, p.Workers())
+	for k := range wss {
+		wss[k] = scratch.New()
 	}
-	if w <= 1 {
-		ws := scratch.New()
-		for i := range out {
-			ws.Reset()
-			out[i] = fn(i, cfg.trialRNG(label, i), ws)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			ws := scratch.New()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				ws.Reset()
-				out[i] = fn(i, cfg.trialRNG(label, i), ws)
-			}
-		}()
-	}
-	wg.Wait()
+	p.Run(n, func(w, i int) {
+		wss[w].Reset()
+		out[i] = fn(i, cfg.trialRNG(label, i), wss[w])
+	})
 	return out
 }

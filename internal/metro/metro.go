@@ -6,6 +6,10 @@
 // into deployment-scale numbers — 10³ cells / 10⁵ UE-sessions on one
 // machine — without holding per-UE state for anyone who already left.
 //
+// Execution: the metro is the outermost layer, so it owns the process's one
+// internal/pool executor, sized by Config.Workers; every site's cluster and
+// stations run inline inside whichever worker steps the site.
+//
 // Determinism contract (the same one the station, cluster, and experiment
 // layers obey): every site's entire evolution — its cluster seed, its churn
 // arrival/departure stream, its UE drop positions — derives from
@@ -27,13 +31,12 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mmreliable/internal/cluster"
 	"mmreliable/internal/env"
 	"mmreliable/internal/link"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/seeds"
 	"mmreliable/internal/sim"
 )
@@ -56,8 +59,9 @@ type Config struct {
 	CellsPerCluster int
 	// UEsPerCluster is the initial UE population per site, attached at t=0.
 	UEsPerCluster int
-	// Workers is the goroutine pool size; 0 means GOMAXPROCS. Results are
-	// byte-identical at any value.
+	// Workers sizes the metro's executor (internal/pool), the only one in
+	// the process; 0 means GOMAXPROCS, capped at the shard count. Results
+	// are byte-identical at any value.
 	Workers int
 	// Shards is the number of contiguous site ranges used as work-stealing
 	// units and sketch-aggregation grains; 0 picks min(Clusters, 64).
@@ -92,7 +96,7 @@ type Config struct {
 	// (pedestrian).
 	SpeedMPS float64
 	// Cluster configures every site's coordinator; Seed is overridden per
-	// site.
+	// site. Sites run inline on the metro's workers.
 	Cluster cluster.Config
 }
 
@@ -142,20 +146,16 @@ type Metro struct {
 	// the per-site aggregates are byte-identical at any worker count.
 	siteSketches []Sketch
 	shardLo      []int // shard s covers sites[shardLo[s]:shardLo[s+1]]
-	positions []env.Vec2
-	workers   int
-	frame     int
+	positions    []env.Vec2
+	frame        int
 
-	nextShard atomic.Int64
-	start     chan struct{}
-	wg        sync.WaitGroup
-	closed    bool
+	pool    *pool.Pool
+	shardFn func(w, s int) // runShard, bound once so a frame allocates nothing
 }
 
 // New builds the metro: one shared indexed environment, Clusters cluster
-// sites with per-site seeds, the initial UE population, and (for Workers >
-// 1) the persistent worker pool. Call Close when done with a multi-worker
-// metro to release the pool.
+// sites with per-site seeds, the initial UE population, and the executor.
+// Call Close when done to release the executor's workers.
 func New(num nr.Numerology, cfg Config) (*Metro, error) {
 	if cfg.Clusters < 1 {
 		return nil, fmt.Errorf("metro: Clusters %d < 1", cfg.Clusters)
@@ -207,7 +207,6 @@ func New(num nr.Numerology, cfg Config) (*Metro, error) {
 		sketches:     make([]Sketch, shards),
 		siteSketches: make([]Sketch, cfg.Clusters),
 		positions:    positions,
-		workers:      workers,
 	}
 	per := (cfg.Clusters + shards - 1) / shards
 	for lo := 0; lo < cfg.Clusters; lo += per {
@@ -218,7 +217,7 @@ func New(num nr.Numerology, cfg Config) (*Metro, error) {
 	for si := 0; si < cfg.Clusters; si++ {
 		ccfg := cfg.Cluster
 		ccfg.Seed = seeds.Mix(cfg.Seed, labelMetroCluster, int64(si))
-		cl, err := cluster.New(num, ccfg, dep)
+		cl, err := cluster.New(num, ccfg, dep, nil)
 		if err != nil {
 			return nil, fmt.Errorf("metro: site %d: %w", si, err)
 		}
@@ -247,17 +246,8 @@ func New(num nr.Numerology, cfg Config) (*Metro, error) {
 		m.sites = append(m.sites, s)
 	}
 
-	if m.workers > 1 {
-		m.start = make(chan struct{}, m.workers)
-		for w := 0; w < m.workers; w++ {
-			go func() {
-				for range m.start {
-					m.runShards()
-					m.wg.Done()
-				}
-			}()
-		}
-	}
+	m.pool = pool.New(workers)
+	m.shardFn = m.runShard
 	return m, nil
 }
 
@@ -339,42 +329,26 @@ func (m *Metro) ResidentUEs() int {
 }
 
 // Workers returns the effective worker count.
-func (m *Metro) Workers() int { return m.workers }
+func (m *Metro) Workers() int { return m.pool.Workers() }
 
 // Shards returns the effective shard count.
 func (m *Metro) Shards() int { return len(m.shardLo) - 1 }
 
 // AdvanceFrame executes one metro frame: every site advances one cluster
 // frame (churn arrivals first, finished-UE harvest after), shard by shard
-// across the worker pool, with a barrier before the next frame. Workers
-// steal whole shards off a shared atomic cursor, so a shard whose sites hit
-// expensive re-establishments doesn't serialize the rest of the city behind
-// it. With one worker everything runs inline on the caller's goroutine.
+// across the executor, with a barrier before the next frame. Workers claim
+// whole shards one at a time, so a shard whose sites hit expensive
+// re-establishments doesn't serialize the rest of the city behind it. With
+// one worker everything runs inline on the caller's goroutine.
 func (m *Metro) AdvanceFrame() {
-	m.nextShard.Store(0)
-	if m.workers <= 1 {
-		m.runShards()
-	} else {
-		m.wg.Add(m.workers)
-		for w := 0; w < m.workers; w++ {
-			m.start <- struct{}{}
-		}
-		m.wg.Wait()
-	}
+	m.pool.Run(m.Shards(), m.shardFn)
 	m.frame++
 }
 
-// runShards drains the shard cursor, stepping each stolen shard's sites in
-// order.
-func (m *Metro) runShards() {
-	for {
-		s := int(m.nextShard.Add(1) - 1)
-		if s >= len(m.shardLo)-1 {
-			return
-		}
-		for _, st := range m.sites[m.shardLo[s]:m.shardLo[s+1]] {
-			m.stepSite(st)
-		}
+// runShard steps shard s's sites in order.
+func (m *Metro) runShard(_, s int) {
+	for _, st := range m.sites[m.shardLo[s]:m.shardLo[s+1]] {
+		m.stepSite(st)
 	}
 }
 
@@ -414,11 +388,6 @@ func (m *Metro) Run(duration float64) Results {
 	return m.Results()
 }
 
-// Close releases the worker pool. The metro must not be advanced after
-// Close; Results remains safe.
-func (m *Metro) Close() {
-	if m.start != nil && !m.closed {
-		close(m.start)
-		m.closed = true
-	}
-}
+// Close releases the executor's workers. The metro must not be advanced
+// after Close; Results remains safe.
+func (m *Metro) Close() { m.pool.Close() }

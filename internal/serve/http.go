@@ -26,12 +26,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// httpError maps control-plane failures: loop gone → 503, everything else
-// (validation, unknown targets) → 400.
+// httpError maps control-plane failures: loop gone → 503, body over
+// maxBodyBytes → 413, everything else (validation, unknown targets) → 400.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
-	if errors.Is(err, ErrStopped) {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.Is(err, ErrStopped):
 		code = http.StatusServiceUnavailable
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -43,10 +47,16 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxBodyBytes caps a command body. Every command is a handful of JSON
+// numbers, so 64 KiB is generous; an untrusted client cannot make the
+// handler buffer more.
+const maxBodyBytes = 64 << 10
+
 // decodeBody strictly decodes the request body into v (unknown fields are
-// rejected — a typoed knob must not silently no-op).
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// rejected — a typoed knob must not silently no-op). Bodies beyond
+// maxBodyBytes fail with an *http.MaxBytesError.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
@@ -80,7 +90,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		Y         *float64 `json:"y"`
 		DurationS float64  `json:"duration_s"`
 	}
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -104,7 +114,7 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 		Site int `json:"site"`
 		UE   int `json:"ue"`
 	}
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -124,7 +134,7 @@ func (s *Server) handleBlockage(w http.ResponseWriter, r *http.Request) {
 		DepthDB   float64 `json:"depth_db"`
 		DurationS float64 `json:"duration_s"`
 	}
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -141,7 +151,7 @@ func (s *Server) handleBlockage(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	var t cluster.Tuning
-	if err := decodeBody(r, &t); err != nil {
+	if err := decodeBody(w, r, &t); err != nil {
 		httpError(w, err)
 		return
 	}

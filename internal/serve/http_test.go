@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // startDaemon runs a churn-free daemon (UE ids stay predictable) with the
@@ -95,7 +96,7 @@ func TestHTTPStatusAndMetrics(t *testing.T) {
 }
 
 func TestHTTPLifecycleRoundTrip(t *testing.T) {
-	ts, _, stop := startDaemon(t)
+	ts, s, stop := startDaemon(t)
 	defer stop()
 
 	// Attach a UE to site 2 at an explicit position.
@@ -111,7 +112,20 @@ func TestHTTPLifecycleRoundTrip(t *testing.T) {
 		t.Errorf("attach result %+v, want op=attach ue=2", res)
 	}
 
-	// Detach it again.
+	// Detach it again, once the frame that admits it has run: a detach
+	// drained at the attach's own boundary would find it not yet admitted.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		st, err := s.Status()
+		if err != nil {
+			t.Fatalf("Status: %v", err)
+		}
+		if st.Frame > res.Frame {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon stuck at frame %d", st.Frame)
+		}
+	}
 	code, body = postJSON(t, ts.URL+"/ue/detach", fmt.Sprintf(`{"site":2,"ue":%d}`, res.UE))
 	if code != http.StatusOK {
 		t.Fatalf("detach: %d %s", code, body)
@@ -225,5 +239,35 @@ func TestHTTPStoppedDaemonReturns503(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("GET /status on stopped daemon: %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestHTTPOversizedBodyRejected: a command body past maxBodyBytes is
+// refused with 413 before anything reaches the queue, so the journal does
+// not grow.
+func TestHTTPOversizedBodyRejected(t *testing.T) {
+	ts, s, stop := startDaemon(t)
+	defer stop()
+
+	before, err := s.Status()
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	body := `{"site":0,"duration_s":1` + strings.Repeat(" ", maxBodyBytes) + `}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ue/attach", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized attach: status %d (%s), want 413", rec.Code, rec.Body)
+	}
+	after, err := s.Status()
+	if err != nil {
+		t.Fatalf("Status: %v", err)
+	}
+	if after.JournalLen != before.JournalLen {
+		t.Fatalf("journal_len %d → %d after a rejected body", before.JournalLen, after.JournalLen)
+	}
+	// The same command at normal size still goes through.
+	if code, resp := postJSON(t, ts.URL+"/ue/attach", `{"site":0,"duration_s":1}`); code != http.StatusOK {
+		t.Fatalf("normal attach: status %d (%s), want 200", code, resp)
 	}
 }

@@ -208,3 +208,52 @@ func TestRestoreRejectsForeignJournal(t *testing.T) {
 		t.Error("Restore accepted a journal entry beyond the snapshot frame")
 	}
 }
+
+// TestRestoreIgnoresRemovedStationWorkers: snapshots written before the
+// station layer lost its Workers knob carry a "Workers" key under
+// config.metro.Cluster.Station. Such a document must still restore, at the
+// same SnapshotVersion, to the recorded digest.
+func TestRestoreIgnoresRemovedStationWorkers(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.MaxFrames = 6
+	cfg.Script = DemoScript()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	blob, err := s.SnapshotJSONDirect()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+
+	// UseNumber keeps the uint64 integrity anchors exact through the
+	// generic round trip.
+	var doc map[string]any
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	station := doc["config"].(map[string]any)["metro"].(map[string]any)["Cluster"].(map[string]any)["Station"].(map[string]any)
+	if _, ok := station["Workers"]; ok {
+		t.Fatal("fresh snapshot still writes Station.Workers")
+	}
+	station["Workers"] = 8
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+
+	r, err := Restore(old, Runtime{})
+	if err != nil {
+		t.Fatalf("Restore of a document with Station.Workers: %v", err)
+	}
+	defer r.Close()
+	if got, want := r.Metro().DigestSum(), s.Metro().DigestSum(); got != want {
+		t.Fatalf("restored digest %016x, want %016x", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package station
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -26,46 +27,57 @@ func heapBytesPerRun(runs int, f func()) float64 {
 }
 
 // TestStationSlotAllocs pins the steady-state frame loop at zero
-// allocations per frame: persistent channel models (Model.Reuse +
-// ChannelInto), the managers' retained buffers, preallocated scheduler
-// scratch, and the inline single-worker path keep AdvanceFrame off the
-// allocator entirely once every session is established.
+// allocations per frame, inline and across a 4-worker pool: persistent
+// channel models (Model.Reuse + ChannelInto), the managers' retained
+// buffers, preallocated scheduler scratch, and the prebound pool steps keep
+// AdvanceFrame off the allocator entirely once every session is
+// established.
 func TestStationSlotAllocs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 1 // the inline path; multi-worker frames pay goroutine overhead by design
-	st, err := New(nr.Mu3(), cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		s := seeds.Mix(31, int64(i))
-		// Fading-free static link: the quiescent steady state. (Fading
-		// jitter periodically triggers re-alignment rounds, and a weight
-		// recomposition intentionally allocates: the fresh weight vector
-		// escapes into the front end and the channel snapshot.)
-		sc := sim.StaticIndoor(s)
-		sc.Fading = nil
-		if _, err := st.Attach(SessionConfig{
-			Scenario: sc,
-			Budget:   sim.IndoorBudget(),
-			Seed:     s,
-		}); err != nil {
-			t.Fatalf("Attach: %v", err)
-		}
-	}
-	// Warm: initial SSB training, first maintenance rounds, buffer growth.
-	for i := 0; i < 20; i++ {
-		st.AdvanceFrame()
-	}
-	avg := testing.AllocsPerRun(10, st.AdvanceFrame)
-	if avg != 0 {
-		t.Fatalf("AdvanceFrame allocates %.1f allocs/frame in steady state, want 0", avg)
-	}
-	// Bytes too: rare amortized appends (meter episode buffers, tracker
-	// history growth) used to leak ~60 B/frame while still rounding to
-	// 0 allocs/op. The steady state must be byte-clean, not just
-	// alloc-count-clean.
-	if bytes := heapBytesPerRun(50, st.AdvanceFrame); bytes != 0 {
-		t.Fatalf("AdvanceFrame allocates %.1f B/frame in steady state, want 0", bytes)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			st, err := New(nr.Mu3(), DefaultConfig(), newPool(t, workers))
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			for i := 0; i < 2; i++ {
+				s := seeds.Mix(31, int64(i))
+				// Fading-free static link: the quiescent steady state.
+				// (Fading jitter periodically triggers re-alignment rounds,
+				// and a weight recomposition intentionally allocates: the
+				// fresh weight vector escapes into the front end and the
+				// channel snapshot.)
+				sc := sim.StaticIndoor(s)
+				sc.Fading = nil
+				if _, err := st.Attach(SessionConfig{
+					Scenario: sc,
+					Budget:   sim.IndoorBudget(),
+					Seed:     s,
+				}); err != nil {
+					t.Fatalf("Attach: %v", err)
+				}
+			}
+			// Warm: initial SSB training, first maintenance rounds, buffer
+			// growth.
+			for i := 0; i < 20; i++ {
+				st.AdvanceFrame()
+			}
+			avg := testing.AllocsPerRun(10, st.AdvanceFrame)
+			if avg != 0 {
+				t.Fatalf("AdvanceFrame allocates %.1f allocs/frame in steady state, want 0", avg)
+			}
+			// Bytes too: rare amortized appends (meter episode buffers,
+			// tracker history growth) used to leak ~60 B/frame while still
+			// rounding to 0 allocs/op. The steady state must be byte-clean,
+			// not just alloc-count-clean. Inline only: a pool worker's
+			// scratch arena grows the first time that worker claims a
+			// session, and the dynamic claim order can put that after any
+			// fixed warm-up — a one-time cost, not a steady-state one.
+			if workers > 1 {
+				return
+			}
+			if bytes := heapBytesPerRun(50, st.AdvanceFrame); bytes != 0 {
+				t.Fatalf("AdvanceFrame allocates %.1f B/frame in steady state, want 0", bytes)
+			}
+		})
 	}
 }

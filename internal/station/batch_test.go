@@ -14,9 +14,8 @@ import (
 func newBatchedStation(t *testing.T, workers int) *Station {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Workers = workers
 	cfg.ProbeBudget = 0
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, newPool(t, workers))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

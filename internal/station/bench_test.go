@@ -13,8 +13,7 @@ import (
 // inline single-worker path (the per-slot cost without goroutine overhead).
 func BenchmarkStationSlot(b *testing.B) {
 	cfg := DefaultConfig()
-	cfg.Workers = 1
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -52,8 +51,7 @@ func BenchmarkStationSlot(b *testing.B) {
 // same fixture.
 func BenchmarkStationSlotQuiescent(b *testing.B) {
 	cfg := DefaultConfig()
-	cfg.Workers = 1
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,9 +89,8 @@ func BenchmarkStationSlotQuiescent(b *testing.B) {
 // front door of the planar DSP backend.
 func BenchmarkBatchedSlot(b *testing.B) {
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.ProbeBudget = 0 // unlimited tokens: every established session batches
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -125,8 +122,7 @@ func BenchmarkBatchedSlot(b *testing.B) {
 // the worker pool — the scaling the capacity experiment leans on.
 func BenchmarkStationFrameParallel(b *testing.B) {
 	cfg := DefaultConfig()
-	cfg.Workers = 4
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, newPool(b, 4))
 	if err != nil {
 		b.Fatal(err)
 	}

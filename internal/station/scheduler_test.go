@@ -18,11 +18,10 @@ import (
 func schedTestStation(t *testing.T, mutate func(*Config)) *Station {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -238,27 +238,14 @@ func (st *Station) combineSlot(unit []int, ntIdx []int, slots []sim.Slot, cb *hy
 	}
 }
 
-// runUnits is the SDMA counterpart of runSessions: workers claim whole
-// scheduling units (a group's members must step in lockstep within a
-// slot), each with its own scratch arena and combiner.
-func (st *Station) runUnits(t0 float64) {
-	n := len(st.units)
-	w := st.workers
-	if w > n {
-		w = n
+// runUnitAt steps scheduling unit i on worker w with that worker's
+// scratch arena and combiner (nil below two chains).
+func (st *Station) runUnitAt(w, i int) {
+	var cb *hybrid.Combiner
+	if st.combiners != nil {
+		cb = st.combiners[w]
 	}
-	if w <= 1 {
-		ws := st.ws[0]
-		var cb *hybrid.Combiner
-		if st.combiners != nil {
-			cb = st.combiners[0]
-		}
-		for u, unit := range st.units {
-			st.runUnit(u, unit, t0, ws, cb)
-		}
-		return
-	}
-	st.runUnitsParallel(t0, w, n)
+	st.runUnit(i, st.units[i], st.runT0, st.ws[w], cb)
 }
 
 // runUnit dispatches one scheduling unit.

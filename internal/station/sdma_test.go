@@ -26,11 +26,10 @@ func hybridOn(t *testing.T, on bool) {
 func buildSpreadStation(t *testing.T, n, workers int, seed int64, mutate func(*Config)) *Station {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Workers = workers
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, newPool(t, workers))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -136,9 +135,8 @@ func TestSDMAPairingRespectsSeparation(t *testing.T) {
 
 	// Co-located population: every UE at StaticIndoor's single position.
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.SDMA = DefaultSDMAConfig(4)
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +156,7 @@ func TestSDMAPairingRespectsSeparation(t *testing.T) {
 func TestSDMAChainsValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SDMA.Chains = sdmaMaxChains + 1
-	if _, err := New(nr.Mu3(), cfg); err == nil {
+	if _, err := New(nr.Mu3(), cfg, nil); err == nil {
 		t.Fatal("Chains > sdmaMaxChains accepted")
 	}
 }
@@ -170,9 +168,8 @@ func TestSDMAChainsValidation(t *testing.T) {
 func TestHybridSlotAllocs(t *testing.T) {
 	hybridOn(t, true)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.SDMA = SDMAConfig{Chains: 2, MinSeparationDeg: 0, MinSINRdB: -100}
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -13,7 +13,8 @@
 // boundary the coordinator — single-threaded — processes attach/detach
 // events and allocates probe tokens; inside the frame every active session
 // steps its slots independently (its scenario, channel model, sounder RNG,
-// and manager state are all session-private), sharded across a worker pool.
+// and manager state are all session-private), sharded across the pool the
+// station was handed (internal/pool; nil steps inline).
 // Because scheduler decisions read only per-session state published at the
 // barrier, and sessions never share mutable state, the engine's output is
 // byte-identical at any worker count — the same contract as
@@ -26,11 +27,11 @@ package station
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"mmreliable/internal/channel"
 	"mmreliable/internal/hybrid"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/scratch"
 	"mmreliable/internal/sim"
 
@@ -52,9 +53,6 @@ type Config struct {
 	// MaxSessions is the admission-control cap on concurrently attached
 	// sessions; attach requests beyond it are rejected.
 	MaxSessions int
-	// Workers shards session stepping (0 = GOMAXPROCS). Output is
-	// byte-identical for any value.
-	Workers int
 	// Warmup excludes the first seconds after each session's attach from
 	// its metrics (initial beam training), mirroring sim.Runner.Warmup.
 	Warmup float64
@@ -146,12 +144,19 @@ type Station struct {
 	num           nr.Numerology
 	slotDur       float64
 	slotsPerFrame int
-	workers       int
 
 	sessions []*Session // every session ever admitted via Attach, in ID order
 	active   []*Session // currently attached, admission order
 	pending  []*Session // scheduled attaches, sorted by (AttachAt, ID)
 	ws       []*scratch.Workspace
+
+	// Session stepping (runSessions): the borrowed executor, the frame
+	// start it reads, and the per-index steps bound once in New so a
+	// frame's Run allocates nothing.
+	pool      *pool.Pool
+	runT0     float64
+	sessionFn func(w, i int)
+	unitFn    func(w, i int)
 
 	frame     int // next frame index to execute
 	carryover int // emergency probes borrowed against the next frame's budget
@@ -178,8 +183,10 @@ type Station struct {
 	counters Counters
 }
 
-// New builds a station over the given numerology.
-func New(num nr.Numerology, cfg Config) (*Station, error) {
+// New builds a station over the given numerology. Sessions step across p
+// each frame; nil steps them inline. The station borrows p and never
+// closes it.
+func New(num nr.Numerology, cfg Config, p *pool.Pool) (*Station, error) {
 	if err := num.Validate(); err != nil {
 		return nil, err
 	}
@@ -191,10 +198,6 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 	}
 	if cfg.Warmup < 0 {
 		return nil, fmt.Errorf("station: negative warmup %g", cfg.Warmup)
-	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
 	}
 	slotDur := num.SlotDuration()
 	spf := int(math.Round(cfg.FramePeriod / slotDur))
@@ -209,12 +212,13 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 		num:           num,
 		slotDur:       slotDur,
 		slotsPerFrame: spf,
-		workers:       w,
+		pool:          p,
 		schedIdx:      make([]int, cfg.MaxSessions),
 		schedPrio:     make([]float64, cfg.MaxSessions),
 		batchIdx:      make([]int, 0, cfg.MaxSessions),
 	}
-	st.ws = make([]*scratch.Workspace, w)
+	st.sessionFn, st.unitFn = st.runSession, st.runUnitAt
+	st.ws = make([]*scratch.Workspace, p.Workers())
 	for k := range st.ws {
 		st.ws[k] = scratch.New()
 	}
@@ -224,7 +228,7 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 		st.unitStore = make([]int, 0, cfg.MaxSessions)
 		st.sdmaAssigned = make([]bool, cfg.MaxSessions)
 		if cfg.SDMA.Chains >= 2 {
-			st.combiners = make([]*hybrid.Combiner, w)
+			st.combiners = make([]*hybrid.Combiner, p.Workers())
 			for k := range st.combiners {
 				st.combiners[k] = hybrid.NewCombiner(cfg.SDMA.Chains, cfg.Manager.NumSC)
 			}
@@ -249,7 +253,7 @@ func (st *Station) ActiveSessions() int { return len(st.active) }
 
 // AdvanceFrame executes one scheduling frame: attach/detach processing and
 // probe-token allocation on the coordinator, then parallel session
-// stepping across the worker pool, then accounting harvest at the barrier.
+// stepping across the pool, then accounting harvest at the barrier.
 func (st *Station) AdvanceFrame() {
 	t0 := st.Now()
 	t1 := float64((st.frame+1)*st.slotsPerFrame) * st.slotDur
@@ -262,6 +266,28 @@ func (st *Station) AdvanceFrame() {
 	st.counters.Frames++
 	st.counters.SessionSlots += int64(len(st.active) * st.slotsPerFrame)
 	st.frame++
+}
+
+// runSessions steps every active session through the frame starting at t0
+// across the pool. Which worker runs which session is irrelevant to the
+// output: a session's entire world is session-private, and the per-worker
+// scratch arenas hand out zeroed checkouts, so a session computes
+// bit-identical results on any worker. Run's barrier publishes all session
+// state back to the coordinator.
+func (st *Station) runSessions(t0 float64) {
+	st.runT0 = t0
+	if st.sdmaOn && len(st.units) > 0 {
+		// Shared-airtime model: workers claim whole scheduling units so a
+		// group's members step in lockstep (sdma.go).
+		st.pool.Run(len(st.units), st.unitFn)
+		return
+	}
+	st.pool.Run(len(st.active), st.sessionFn)
+}
+
+// runSession steps active session i on worker w.
+func (st *Station) runSession(w, i int) {
+	st.active[i].runFrame(st, st.runT0, st.ws[w])
 }
 
 // Run advances whole frames until the station clock reaches duration

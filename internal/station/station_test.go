@@ -6,9 +6,18 @@ import (
 	"testing"
 
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/seeds"
 	"mmreliable/internal/sim"
 )
+
+// newPool returns a pool of the given size that is closed when the test
+// ends.
+func newPool(t testing.TB, workers int) *pool.Pool {
+	p := pool.New(workers)
+	t.Cleanup(p.Close)
+	return p
+}
 
 // buildStation assembles a station with n UE sessions over mixed scenarios
 // (static indoor and walking-blocker indoor, alternating) plus mid-run
@@ -17,11 +26,10 @@ import (
 func buildStation(t *testing.T, n, workers int, seed int64, mutate func(*Config)) *Station {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Workers = workers
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, newPool(t, workers))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -89,9 +97,8 @@ func TestStationDeterministicSmall(t *testing.T) {
 // and a detach frees the slot for a later arrival.
 func TestAdmissionControl(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.MaxSessions = 2
-	st, err := New(nr.Mu3(), cfg)
+	st, err := New(nr.Mu3(), cfg, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -136,7 +143,7 @@ func TestAdmissionControl(t *testing.T) {
 
 // TestAttachValidation covers the attach-time error paths.
 func TestAttachValidation(t *testing.T) {
-	st, err := New(nr.Mu3(), DefaultConfig())
+	st, err := New(nr.Mu3(), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -149,10 +156,10 @@ func TestAttachValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("DetachAt ≤ AttachAt accepted")
 	}
-	if _, err := New(nr.Mu3(), Config{FramePeriod: 0, MaxSessions: 1}); err == nil {
+	if _, err := New(nr.Mu3(), Config{FramePeriod: 0, MaxSessions: 1}, nil); err == nil {
 		t.Fatal("zero frame period accepted")
 	}
-	if _, err := New(nr.Mu3(), Config{FramePeriod: 20e-3, MaxSessions: 0}); err == nil {
+	if _, err := New(nr.Mu3(), Config{FramePeriod: 20e-3, MaxSessions: 0}, nil); err == nil {
 		t.Fatal("zero MaxSessions accepted")
 	}
 }
@@ -184,7 +191,7 @@ func TestProbeBudgetBound(t *testing.T) {
 // rest), so the min/max grant ratio stays well above zero.
 func TestSchedulerFairnessUnderStarvation(t *testing.T) {
 	cfg := func(c *Config) { c.ProbeBudget = 1 }
-	st, err := New(nr.Mu3(), func() Config { c := DefaultConfig(); c.Workers = 1; cfg(&c); return c }())
+	st, err := New(nr.Mu3(), func() Config { c := DefaultConfig(); cfg(&c); return c }(), nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"mmreliable/internal/hybrid"
 	"mmreliable/internal/link"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/pool"
 	"mmreliable/internal/seeds"
 	"mmreliable/internal/sim"
 	"mmreliable/internal/station"
@@ -27,7 +28,7 @@ type Options struct {
 	FrameMS     float64
 	Duration    float64
 	Seed        int64
-	Workers     int
+	Workers     int // session-stepping pool size (0 = GOMAXPROCS)
 	MaxSessions int
 	Churn       bool
 	PerUE       bool
@@ -67,10 +68,11 @@ func Run(w io.Writer, o Options) error {
 	cfg.ProbeBudget = o.Budget
 	cfg.FramePeriod = o.FrameMS * 1e-3
 	cfg.MaxSessions = o.MaxSessions
-	cfg.Workers = o.Workers
 	cfg.SDMA = o.SDMA
 
-	st, err := station.New(nr.Mu3(), cfg)
+	p := pool.New(o.Workers)
+	defer p.Close()
+	st, err := station.New(nr.Mu3(), cfg, p)
 	if err != nil {
 		return err
 	}
