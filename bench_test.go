@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"mmreliable/internal/antenna"
+	"mmreliable/internal/baselines"
 	"mmreliable/internal/channel"
 	"mmreliable/internal/cluster"
 	"mmreliable/internal/cmx"
@@ -363,6 +364,71 @@ func BenchmarkManagerMaintainTick(b *testing.B) {
 		mgr.Step(t, m)
 	}
 }
+
+// BenchmarkBaselineSlot measures the baseline scoring path: a reactive and
+// a BeamSpy scheme Step through data slots of a ThinMarginOutdoor replay,
+// each scoring its beam's wideband SNR over the true channel. The first
+// 2000 post-warmup slots are traced once and replayed cyclically into the
+// schemes' persistent Reuse models, the way sim.Runner refreshes them.
+// Blockage is dropped: outage-triggered retraining is training, not
+// scoring. ns/slot is per scheme-slot; must report 0 allocs/op.
+func BenchmarkBaselineSlot(b *testing.B) {
+	sc := sim.ThinMarginOutdoor(3)
+	sc.Blockage = nil
+	budget := sim.OutdoorBudget()
+	opt := baselines.DefaultOptions()
+	rc, err := baselines.NewSingleBeamReactive(antenna.NewULA(8, 28e9), budget, nr.Mu3(), opt, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs, err := baselines.NewBeamSpy(antenna.NewULA(8, 28e9), budget, nr.Mu3(), opt, rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	schemes := []sim.Scheme{rc, bs}
+	models := []*channel.Model{{Reuse: true}, {Reuse: true}}
+	slot := sc.Num.SlotDuration()
+	warm := int(sim.StandardWarmup / slot)
+	const window = 2000
+	snaps := make([]*channel.Model, window)
+	t := 0.0
+	for s := 0; s < warm+window; s++ {
+		t = float64(s) * slot
+		m := sc.ChannelAt(t)
+		if s >= warm {
+			snaps[s-warm] = m
+		}
+		for i, scheme := range schemes {
+			models[i].CopyStateFrom(m)
+			scheme.Step(t, models[i])
+		}
+	}
+	step := func(k int) {
+		t += slot
+		for i, scheme := range schemes {
+			models[i].CopyStateFrom(snaps[k%window])
+			benchSlots[i] = scheme.Step(t, models[i])
+		}
+	}
+	for k := 0; k < window; k++ {
+		step(k) // one pass settles any retrain the cyclic seam provokes
+	}
+	for i, sl := range benchSlots {
+		if sl.Training || math.IsInf(sl.SNRdB, -1) {
+			b.Fatalf("%s is not on a data slot after warmup: %+v", schemes[i].Name(), sl)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(schemes)), "ns/slot")
+}
+
+// benchSlots keeps BenchmarkBaselineSlot's Step results observable.
+var benchSlots [2]sim.Slot
 
 // BenchmarkStationSlot measures the serving engine's steady-state per-
 // session-slot cost through the public station API: an 8-UE station

@@ -39,11 +39,10 @@ type Common struct {
 	num     nr.Numerology
 	sounder *nr.Sounder
 	cb      *antenna.Codebook
-	offsets []float64
 	opt     Options
+	scorer
 
 	w              cmx.Vector
-	wb             cmx.Vector // wideband-response scratch for snr()
 	csi            cmx.Vector // probe scratch for scanUE
 	trainRemaining int
 	onTrainDone    func(t float64, m *channel.Model)
@@ -98,11 +97,36 @@ func newCommon(name string, u *antenna.ULA, budget link.Budget, num nr.Numerolog
 		num:     num,
 		sounder: s,
 		cb:      antenna.DFTCodebook(u, opt.CodebookSize, -scan, scan),
-		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, opt.NumSC),
 		opt:     opt,
-		wb:      make(cmx.Vector, opt.NumSC),
+		scorer:  newScorer(budget, opt.NumSC),
 		csi:     make(cmx.Vector, opt.NumSC),
 	}, nil
+}
+
+// scorer evaluates a beam's wideband effective SNR over the true channel on
+// the planar path the manager uses: EffectiveWidebandSplitInto plus the
+// kernel's capacity sum, with the budget's linear terms hoisted out of the
+// slot loop.
+type scorer struct {
+	offsets         []float64
+	wbRe, wbIm      []float64 // planar wideband-response scratch
+	txLin, noiseLin float64
+}
+
+func newScorer(budget link.Budget, numSC int) scorer {
+	txLin, noiseLin := budget.SNRTerms()
+	return scorer{
+		offsets:  channel.SubcarrierOffsets(budget.BandwidthHz, numSC),
+		wbRe:     make([]float64, numSC),
+		wbIm:     make([]float64, numSC),
+		txLin:    txLin,
+		noiseLin: noiseLin,
+	}
+}
+
+func (s *scorer) snrOf(m *channel.Model, w cmx.Vector) float64 {
+	m.EffectiveWidebandSplitInto(w, s.offsets, s.wbRe, s.wbIm)
+	return link.WidebandSNRdBSplitTerms(s.wbRe, s.wbIm, s.txLin, s.noiseLin)
 }
 
 // ssbWaitSlots returns the slots to wait from time t until the next SSB
@@ -172,11 +196,13 @@ func (c *Common) outageConfirmed(bad bool) bool {
 // Name implements sim.Scheme.
 func (c *Common) Name() string { return c.name }
 
+// snr returns the wideband effective SNR of the current beam over the true
+// channel (−Inf before establishment).
 func (c *Common) snr(m *channel.Model) float64 {
 	if c.w == nil {
 		return math.Inf(-1)
 	}
-	return c.budget.WidebandSNRdB(m.EffectiveWidebandInto(c.w, c.offsets, c.wb))
+	return c.snrOf(m, c.w)
 }
 
 func (c *Common) slotsFor(airTime float64) int {
@@ -405,19 +431,17 @@ func (b *WideBeam) Step(t float64, m *channel.Model) sim.Slot {
 // every slot with zero training overhead — an unattainable upper bound that
 // calibrates how close the 2- and 3-beam multi-beams come (Fig. 15d).
 type Oracle struct {
-	name    string
-	budget  link.Budget
-	offsets []float64
-	wb      cmx.Vector // wideband-response scratch
+	name   string
+	budget link.Budget
+	scorer
 }
 
 // NewOracle builds the oracle scheme.
 func NewOracle(budget link.Budget, numSC int) *Oracle {
 	return &Oracle{
-		name:    "oracle",
-		budget:  budget,
-		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, numSC),
-		wb:      make(cmx.Vector, numSC),
+		name:   "oracle",
+		budget: budget,
+		scorer: newScorer(budget, numSC),
 	}
 }
 
@@ -447,7 +471,7 @@ func (o *Oracle) Step(t float64, m *channel.Model) sim.Slot {
 	}
 	best := math.Inf(-1)
 	for _, w := range cands {
-		if snr := o.budget.WidebandSNRdB(m.EffectiveWidebandInto(w, o.offsets, o.wb)); snr > best {
+		if snr := o.snrOf(m, w); snr > best {
 			best = snr
 		}
 	}

@@ -48,8 +48,8 @@ type Model struct {
 
 	// Reuse opts this model into single-goroutine cache recycling: when
 	// set, a cache rebuild overwrites the previous snapshot's backing
-	// arrays in place (including one contiguous steering buffer for all
-	// paths) instead of allocating a fresh immutable snapshot, so the
+	// arrays in place (including the planar steering rows of all paths)
+	// instead of allocating a fresh immutable snapshot, so the
 	// per-slot mutate→rebuild cycle of a simulation runs allocation-free
 	// in steady state. A Reuse model must NOT be shared across goroutines:
 	// the in-place rebuild would race with concurrent readers of the old
@@ -152,14 +152,18 @@ func (m *Model) rxFactor(aoa float64) complex128 {
 // oracle beamformer needs and that real analog arrays cannot observe
 // directly (one RF chain).
 func (m *Model) PerAntennaCSI(fOff float64) cmx.Vector {
-	h := make(cmx.Vector, m.Tx.N)
+	n := m.Tx.N
+	h := make(cmx.Vector, n)
 	c := m.pathCache()
 	for l := range m.Paths {
 		g := m.PathGain(l, fOff)
 		if g == 0 {
 			continue
 		}
-		h.AddScaled(g, c.steer[l])
+		re, im := c.steerRe[l*n:(l+1)*n], c.steerIm[l*n:(l+1)*n]
+		for i := range h {
+			h[i] += g * complex(re[i], im[i])
+		}
 	}
 	return h
 }
@@ -219,7 +223,6 @@ type modelCache struct {
 	rxLen   int
 	snaps   []pathSnap
 	coef    []complex128 // amp·e^{jθ}·rxFactor; 0 for dead paths
-	steer   []cmx.Vector // cached a(φ_ℓ), one per path
 	delays  []float64
 	// Loss-independent factors of coef, kept so a loss-only mutation (per-
 	// slot fading/blockage on an otherwise static geometry) refreshes coef
@@ -229,15 +232,14 @@ type modelCache struct {
 	// order of a full rebuild.
 	rxf            []complex128
 	unitRe, unitIm []float64
-	// steerRe/steerIm are the planar steering rows (path l occupies
-	// [l·N, (l+1)·N)) the batched kernels consume directly.
+	// steerRe/steerIm are the cached steering vectors a(φ_ℓ) in planar
+	// layout (path l occupies [l·N, (l+1)·N)) — the only steering layout
+	// the cache keeps; every evaluator reads these rows.
 	steerRe, steerIm []float64
-	// steerBuf is the contiguous backing of steer when the cache was built
-	// for a Reuse model (nil otherwise): one slab of L·N elements that
-	// in-place rebuilds refill without touching the allocator. rxScratch
-	// is the matching RX-side steering scratch for the per-path receive
-	// factor.
-	steerBuf  []complex128
+	// reuse marks a cache built for a Reuse model: its arrays may be
+	// refilled in place, and rxScratch is the RX-side steering scratch for
+	// the per-path receive factor.
+	reuse     bool
 	rxScratch cmx.Vector
 }
 
@@ -333,7 +335,7 @@ func (m *Model) pathCache() *modelCache {
 	if c != nil && c.valid(m) {
 		return c
 	}
-	if m.Reuse && c != nil && c.steerBuf != nil && c.geomValid(m) {
+	if m.Reuse && c != nil && c.reuse && c.geomValid(m) {
 		// Loss-only mutation on a single-goroutine model: renew coef in
 		// place instead of re-deriving steering/phasors/RX factors.
 		c.refreshLoss(m)
@@ -353,26 +355,21 @@ func (m *Model) buildCache() *modelCache {
 		// readers of the published cache.
 		c = (*modelCache)(atomic.LoadPointer(&m.cache))
 	}
-	if c == nil || cap(c.snaps) < nP || cap(c.steerBuf) < nP*m.Tx.N ||
-		cap(c.steerRe) < nP*m.Tx.N || (m.Reuse && c.steerBuf == nil) {
+	if c == nil || !c.reuse || cap(c.snaps) < nP || cap(c.steerRe) < nP*m.Tx.N {
 		c = &modelCache{
 			snaps:   make([]pathSnap, nP),
 			coef:    make([]complex128, nP),
-			steer:   make([]cmx.Vector, nP),
 			delays:  make([]float64, nP),
 			rxf:     make([]complex128, nP),
 			unitRe:  make([]float64, nP),
 			unitIm:  make([]float64, nP),
 			steerRe: make([]float64, nP*m.Tx.N),
 			steerIm: make([]float64, nP*m.Tx.N),
-		}
-		if m.Reuse {
-			c.steerBuf = make([]complex128, nP*m.Tx.N)
+			reuse:   m.Reuse,
 		}
 	}
 	c.snaps = c.snaps[:nP]
 	c.coef = c.coef[:nP]
-	c.steer = c.steer[:nP]
 	c.delays = c.delays[:nP]
 	c.rxf = c.rxf[:nP]
 	c.unitRe = c.unitRe[:nP]
@@ -399,7 +396,7 @@ func (m *Model) buildCache() *modelCache {
 		amp := kern.AmpFromDB(p.LossDB + p.ExtraLossDB)
 		rxf := complex128(1)
 		if m.Rx != nil && m.RxWeights != nil {
-			if c.steerBuf != nil {
+			if c.reuse {
 				if cap(c.rxScratch) < m.Rx.N {
 					c.rxScratch = make(cmx.Vector, m.Rx.N)
 				}
@@ -415,11 +412,6 @@ func (m *Model) buildCache() *modelCache {
 		c.unitRe[l], c.unitIm[l] = math.Cos(ph), math.Sin(ph)
 		c.coef[l] = complex(amp*c.unitRe[l], amp*c.unitIm[l]) * rxf
 		n := m.Tx.N
-		if c.steerBuf != nil {
-			c.steer[l] = m.Tx.SteeringInto(p.AoD, c.steerBuf[l*n:(l+1)*n:(l+1)*n])
-		} else {
-			c.steer[l] = m.Tx.Steering(p.AoD)
-		}
 		m.Tx.SteeringSplitInto(p.AoD, c.steerRe[l*n:(l+1)*n], c.steerIm[l*n:(l+1)*n])
 	}
 	return c
@@ -472,17 +464,24 @@ func (m *Model) EffectiveWidebandInto(w cmx.Vector, fOffs []float64, dst cmx.Vec
 	if len(dst) != len(fOffs) {
 		panic(fmt.Sprintf("channel: wideband dst length %d != %d offsets", len(dst), len(fOffs)))
 	}
+	if len(w) != m.Tx.N {
+		panic(fmt.Sprintf("channel: beam length %d != %d elements", len(w), m.Tx.N))
+	}
 	c := m.pathCache()
 	for k := range dst {
 		dst[k] = 0
 	}
 	step, uniform := uniformStep(fOffs)
+	n := m.Tx.N
 	for l := range c.coef {
 		base := c.coef[l]
 		if base == 0 {
 			continue
 		}
-		cl := base * c.steer[l].Dot(w)
+		// The reference dot is the complex128 a·w loop written over the
+		// planar row, so this product is a(φ_ℓ)ᵀw bit for bit.
+		dotRe, dotIm := dsp.Reference.DotSplit(c.steerRe[l*n:(l+1)*n], c.steerIm[l*n:(l+1)*n], w)
+		cl := base * complex(dotRe, dotIm)
 		tau := c.delays[l]
 		if tau == 0 {
 			for k := range dst {

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
@@ -61,21 +62,26 @@ func TestEffectiveWidebandSplitEquivalence(t *testing.T) {
 // under the reference kernel, EffectiveWidebandSplitInto is the same
 // arithmetic as the legacy interleaved EffectiveWidebandInto, so the two
 // must agree bit-for-bit — the guarantee that lets planar consumers and
-// interleaved consumers coexist without a determinism seam.
+// interleaved consumers coexist without a determinism seam. Fresh and
+// Reuse models are both covered: the latter build their cache through the
+// in-place path.
 func TestSplitMatchesInterleavedUnderReference(t *testing.T) {
 	prev := dsp.SetKernel(dsp.Reference)
 	defer dsp.SetKernel(prev)
 	for _, tc := range factoredCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			m := tc.m.Clone()
-			re := make([]float64, len(tc.fOffs))
-			im := make([]float64, len(tc.fOffs))
-			m.EffectiveWidebandSplitInto(tc.w, tc.fOffs, re, im)
-			want := m.EffectiveWidebandInto(tc.w, tc.fOffs, make(cmx.Vector, len(tc.fOffs)))
-			for k := range want {
-				if re[k] != real(want[k]) || im[k] != imag(want[k]) {
-					t.Fatalf("subcarrier %d: split (%g,%g) != interleaved %v",
-						k, re[k], im[k], want[k])
+			for _, reuse := range []bool{false, true} {
+				m := tc.m.Clone()
+				m.Reuse = reuse
+				re := make([]float64, len(tc.fOffs))
+				im := make([]float64, len(tc.fOffs))
+				m.EffectiveWidebandSplitInto(tc.w, tc.fOffs, re, im)
+				want := m.EffectiveWidebandInto(tc.w, tc.fOffs, make(cmx.Vector, len(tc.fOffs)))
+				for k := range want {
+					if re[k] != real(want[k]) || im[k] != imag(want[k]) {
+						t.Fatalf("reuse=%v subcarrier %d: split (%g,%g) != interleaved %v",
+							reuse, k, re[k], im[k], want[k])
+					}
 				}
 			}
 		})
@@ -321,4 +327,85 @@ func BenchmarkEffectiveWidebandBatch(b *testing.B) {
 		batch.Eval(ws)
 		ws.Release(m)
 	}
+}
+
+// interleavedWideband evaluates the wideband channel from interleaved
+// steering vectors: each path's a(φ)ᵀw is antenna.SteeringInto followed by
+// cmx.Vector.Dot, then the same coefficient and frequency-ramp loop as
+// EffectiveWidebandInto.
+func interleavedWideband(m *Model, w cmx.Vector, fOffs []float64) cmx.Vector {
+	c := m.pathCache()
+	dst := make(cmx.Vector, len(fOffs))
+	step, uniform := uniformStep(fOffs)
+	a := make(cmx.Vector, m.Tx.N)
+	for l := range c.coef {
+		if c.coef[l] == 0 {
+			continue
+		}
+		cl := c.coef[l] * m.Tx.SteeringInto(m.Paths[l].AoD, a).Dot(w)
+		tau := c.delays[l]
+		switch {
+		case tau == 0:
+			for k := range dst {
+				dst[k] += cl
+			}
+		case !uniform:
+			for k, f := range fOffs {
+				dst[k] += cl * cmplx.Rect(1, -2*math.Pi*f*tau)
+			}
+		default:
+			angle0 := -2 * math.Pi * fOffs[0] * tau
+			stepAngle := -2 * math.Pi * step * tau
+			r := cmplx.Rect(1, stepAngle)
+			var p complex128
+			for k := range dst {
+				if k%phasorReseed == 0 {
+					p = cmplx.Rect(1, angle0+float64(k)*stepAngle)
+				}
+				dst[k] += cl * p
+				p *= r
+			}
+		}
+	}
+	return dst
+}
+
+// TestSteeringLayoutBitParity pins the single planar steering layout of the
+// path cache: EffectiveWidebandInto and PerAntennaCSI must equal, bit for
+// bit, the reconstruction from interleaved steering vectors
+// (antenna.SteeringInto + cmx.Vector.Dot / AddScaled), under every kernel,
+// for fresh and Reuse models, across the blockage, RxWeights, non-uniform,
+// dead-path and zero-delay cases.
+func TestSteeringLayoutBitParity(t *testing.T) {
+	withKernel(t, func(t *testing.T, _ dsp.Kernel) {
+		for _, tc := range factoredCases(t) {
+			for _, reuse := range []bool{false, true} {
+				m := tc.m.Clone() // cold cache under this kernel
+				m.Reuse = reuse
+				got := m.EffectiveWidebandInto(tc.w, tc.fOffs, make(cmx.Vector, len(tc.fOffs)))
+				want := interleavedWideband(m, tc.w, tc.fOffs)
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("%s reuse=%v: subcarrier %d planar-row %v, interleaved %v",
+							tc.name, reuse, k, got[k], want[k])
+					}
+				}
+				for _, f := range []float64{0, tc.fOffs[0], 1.3e8} {
+					h := m.PerAntennaCSI(f)
+					ref := make(cmx.Vector, m.Tx.N)
+					for l := range m.Paths {
+						if g := m.PathGain(l, f); g != 0 {
+							ref.AddScaled(g, m.Tx.Steering(m.Paths[l].AoD))
+						}
+					}
+					for n := range ref {
+						if h[n] != ref[n] {
+							t.Fatalf("%s reuse=%v f=%g: antenna %d CSI %v, interleaved %v",
+								tc.name, reuse, f, n, h[n], ref[n])
+						}
+					}
+				}
+			}
+		}
+	})
 }

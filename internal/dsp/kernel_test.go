@@ -25,6 +25,14 @@ func TestKernelEquivalence(t *testing.T) {
 	}
 }
 
+// TestKernelFillLayoutsIdentical pins, for every registered kernel, that the
+// planar and interleaved phasor fills agree bit for bit.
+func TestKernelFillLayoutsIdentical(t *testing.T) {
+	for _, k := range dsp.Kernels() {
+		kerneltest.RunLayoutIdentity(t, k)
+	}
+}
+
 // TestReferenceMirrorsComplexLoops pins the reference kernel bit-for-bit
 // against the historical complex128 formulations it replaces: the factored
 // wideband recurrence (cmplx.Rect seeds, complex multiply-accumulate) and

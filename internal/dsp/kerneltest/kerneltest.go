@@ -54,6 +54,34 @@ func RunEquivalence(t *testing.T, ref, k dsp.Kernel) {
 	})
 }
 
+// RunLayoutIdentity pins that kernel k fills a phasor ramp with identical
+// bits in both layouts: PhasorFill (planar) and PhasorFillCmplx
+// (interleaved). Consumers may then keep one steering layout and still
+// reproduce what the other would have computed — the channel cache stores
+// planar rows only, and its interleaved evaluators rely on this.
+func RunLayoutIdentity(t *testing.T, k dsp.Kernel) {
+	t.Helper()
+	t.Run(k.Name()+"-fill-layouts", func(t *testing.T) {
+		for _, n := range lengths {
+			for _, th0 := range phases {
+				for _, dth := range steps {
+					re, im := make([]float64, n), make([]float64, n)
+					c := make([]complex128, n)
+					k.PhasorFill(re, im, th0, dth)
+					k.PhasorFillCmplx(c, th0, dth)
+					for i := range c {
+						if math.Float64bits(real(c[i])) != math.Float64bits(re[i]) ||
+							math.Float64bits(imag(c[i])) != math.Float64bits(im[i]) {
+							t.Fatalf("n=%d θ0=%g Δθ=%g: element %d interleaved %v, planar (%g,%g)",
+								n, th0, dth, i, c[i], re[i], im[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // relDiff returns |a−b| relative to a magnitude scale (floored at 1 so
 // near-zero outputs are compared absolutely).
 func relDiff(a, b, scale float64) float64 {

@@ -149,25 +149,22 @@ func AblationCorrelatedBlockage(cfg Config) *stats.Table {
 			genSeed := subSeed(rng)
 			mgrRng := subRNG(rng)
 			rcRng := subRNG(rng)
-			mkScenario := func() *sim.Scenario {
-				sc := sim.ThinMarginOutdoor(scenSeed)
-				gen := events.GenParams{
-					Horizon: 1.0, Rate: 1.5,
-					MinDuration: 0.1, MaxDuration: 0.5,
-					MinDepthDB: 20, MaxDepthDB: 30,
-					NumPaths: 1, AllPathProb: prob,
-				}
-				genRng := rand.New(rand.NewSource(genSeed))
-				var sched events.Schedule
-				for len(sched) == 0 {
-					sched = events.Generate(genRng, gen)
-				}
-				for j := range sched {
-					sched[j].Start += sim.StandardWarmup
-				}
-				sc.Blockage = sched
-				return sc
+			sc := sim.ThinMarginOutdoor(scenSeed)
+			gen := events.GenParams{
+				Horizon: 1.0, Rate: 1.5,
+				MinDuration: 0.1, MaxDuration: 0.5,
+				MinDepthDB: 20, MaxDepthDB: 30,
+				NumPaths: 1, AllPathProb: prob,
 			}
+			genRng := rand.New(rand.NewSource(genSeed))
+			var sched events.Schedule
+			for len(sched) == 0 {
+				sched = events.Generate(genRng, gen)
+			}
+			for j := range sched {
+				sched[j].Start += sim.StandardWarmup
+			}
+			sc.Blockage = sched
 			mgr, err := manager.New("m", antenna.NewULA(8, 28e9), budget, nr.Mu3(), manager.DefaultConfig(), mgrRng)
 			if err != nil {
 				panic(err)
@@ -178,16 +175,12 @@ func AblationCorrelatedBlockage(cfg Config) *stats.Table {
 			if err != nil {
 				panic(err)
 			}
-			runner := sim.Runner{Warmup: sim.StandardWarmup}
-			outM, err := runner.Run(mkScenario(), mgr)
+			// One replay of the scenario for both schemes.
+			out, err := sim.Runner{Warmup: sim.StandardWarmup}.Run(sc, mgr, rc)
 			if err != nil {
 				panic(err)
 			}
-			outR, err := runner.Run(mkScenario(), rc)
-			if err != nil {
-				panic(err)
-			}
-			return outcome{mm: outM["m"].Summary.Reliability, re: outR["reactive"].Summary.Reliability}
+			return outcome{mm: out["m"].Summary.Reliability, re: out["reactive"].Summary.Reliability}
 		})
 		var mmRel, reRel float64
 		for _, o := range res {

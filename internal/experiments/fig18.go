@@ -63,35 +63,49 @@ func Fig18aStaticBlockage(cfg Config) *stats.Table {
 		"blockers", "mmreliable", "beamspy", "reactive")
 	schemes := []string{"mmreliable", "beamspy", "reactive"}
 	blockerCounts := []int{0, 1, 2}
-	// One trial per (blocker count, scheme) cell; all 9 cells are
-	// independent replays, sharded across the worker pool.
-	cells := ParallelTrials(cfg, labelFig18a, len(blockerCounts)*len(schemes),
-		func(trial int, rng *rand.Rand, ws *scratch.Workspace) float64 {
-			blockers := blockerCounts[trial/len(schemes)]
-			name := schemes[trial%len(schemes)]
+	// One trial per blocker count, replaying its scenario once against all
+	// three schemes.
+	rows := ParallelTrials(cfg, labelFig18a, len(blockerCounts),
+		func(trial int, _ *rand.Rand, ws *scratch.Workspace) []link.Summary {
 			sc := sim.StaticIndoor(cfg.Seed)
-			var sched events.Schedule
-			for b := 0; b < blockers; b++ {
+			for b := 0; b < blockerCounts[trial]; b++ {
 				// Each blocker occludes one beam's path for ~300 ms.
 				start := sim.StandardWarmup + 0.15 + 0.35*float64(b)
-				sched = append(sched, events.Event{
+				sc.Blockage = append(sc.Blockage, events.Event{
 					PathIndex: b % 2, Start: start, Duration: 0.25,
 					DepthDB: 26, RampTime: events.RampFor(26),
 				})
 			}
-			sc.Blockage = sched
-			out, err := sim.Runner{Warmup: sim.StandardWarmup}.Run(sc, fig18Scheme(name, budget, false, rng, ws))
-			if err != nil {
-				panic(err)
-			}
-			return out[name].Summary.MeanThroughput / 1e6
+			return replaySchemes(cfg, labelFig18a, trial, sc, schemes, budget, false, ws)
 		})
 	for bi, blockers := range blockerCounts {
-		row := cells[bi*len(schemes) : (bi+1)*len(schemes)]
-		t.AddRow(stats.Fmt(float64(blockers)),
-			stats.Fmt(row[0]), stats.Fmt(row[1]), stats.Fmt(row[2]))
+		row := rows[bi]
+		t.AddRow(stats.Fmt(float64(blockers)), stats.Fmt(row[0].MeanThroughput/1e6),
+			stats.Fmt(row[1].MeanThroughput/1e6), stats.Fmt(row[2].MeanThroughput/1e6))
 	}
 	return t
+}
+
+// replaySchemes replays sc once against every named scheme and returns
+// their summaries in names order. Scheme s draws from stream
+// trial·len(names)+s under label, one private stream per (trial, scheme)
+// pair. The manager is the only scheme that borrows ws, and names holds at
+// most one manager.
+func replaySchemes(cfg Config, label int64, trial int, sc *sim.Scenario, names []string,
+	budget link.Budget, withTracking bool, ws *scratch.Workspace) []link.Summary {
+	schemes := make([]sim.Scheme, len(names))
+	for s, name := range names {
+		schemes[s] = fig18Scheme(name, budget, withTracking, cfg.trialRNG(label, trial*len(names)+s), ws)
+	}
+	out, err := sim.Runner{Warmup: sim.StandardWarmup}.Run(sc, schemes...)
+	if err != nil {
+		panic(err)
+	}
+	sums := make([]link.Summary, len(names))
+	for s, name := range names {
+		sums[s] = out[name].Summary
+	}
+	return sums
 }
 
 var fig18Cache sync.Map
@@ -110,29 +124,20 @@ func fig18Ensemble(cfg Config) map[string][]link.Summary {
 
 func fig18EnsembleUncached(cfg Config) map[string][]link.Summary {
 	budget := sim.OutdoorBudget()
-	runs := cfg.runs(40)
-	nSchemes := len(fig18SchemeNames)
-	// Flatten (run, scheme) into one trial grid: each cell replays the
-	// run's scenario against one scheme. The scenario seed depends only on
-	// the run index, so all four schemes of a run see identical channel
-	// realizations (the controlled comparison the figure needs), while each
-	// cell's scheme draws from its own derived stream.
-	cells := ParallelTrials(cfg, labelFig18Ensemble, runs*nSchemes,
-		func(trial int, rng *rand.Rand, ws *scratch.Workspace) link.Summary {
-			run := trial / nSchemes
-			name := fig18SchemeNames[trial%nSchemes]
-			scenarioSeed := cfg.trialSeed(labelFig18Scenario, run)
-			out, err := sim.Runner{Warmup: sim.StandardWarmup}.Run(
-				sim.ThinMarginOutdoor(scenarioSeed), fig18Scheme(name, budget, true, rng, ws))
-			if err != nil {
-				panic(err)
-			}
-			return out[name].Summary
+	// One trial per run: the run's scenario is replayed once against all
+	// four schemes, so they see identical channel realizations (the
+	// controlled comparison the figure needs), while each scheme draws
+	// from its own derived stream.
+	rows := ParallelTrials(cfg, labelFig18Ensemble, cfg.runs(40),
+		func(run int, _ *rand.Rand, ws *scratch.Workspace) []link.Summary {
+			sc := sim.ThinMarginOutdoor(cfg.trialSeed(labelFig18Scenario, run))
+			return replaySchemes(cfg, labelFig18Ensemble, run, sc, fig18SchemeNames, budget, true, ws)
 		})
 	out := map[string][]link.Summary{}
-	for trial, s := range cells {
-		name := fig18SchemeNames[trial%nSchemes]
-		out[name] = append(out[name], s)
+	for _, row := range rows {
+		for s, name := range fig18SchemeNames {
+			out[name] = append(out[name], row[s])
+		}
 	}
 	return out
 }

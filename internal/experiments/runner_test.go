@@ -120,19 +120,18 @@ func figDeterminism(t *testing.T, id string) {
 // TestFigDeterminismAcrossWorkers is the engine's acceptance test: the
 // ported figure generators must produce byte-identical tables at any
 // worker count. Fig 15a is scan-only (trivially deterministic), 15d and a1
-// are Monte-Carlo ensembles, 16 is the two-scheme replay.
+// are Monte-Carlo ensembles, 16 is the two-scheme replay, and 18a and a3
+// replay each trial's scenario once against every compared scheme.
 func TestFigDeterminismAcrossWorkers(t *testing.T) {
-	for _, id := range []string{"15a", "15d", "16", "a1"} {
+	for _, id := range []string{"15a", "15d", "16", "a1", "18a", "a3"} {
 		figDeterminism(t, id)
 	}
 }
 
 // TestFig18bDeterminismAcrossWorkers covers the heaviest ported ensemble
-// (40 mobile+blockage runs × 4 schemes at full scale; quick here).
+// (40 mobile+blockage runs × 4 schemes at full scale; quick here), each
+// run's scenario replayed once against all four schemes.
 func TestFig18bDeterminismAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ensemble experiment")
-	}
 	figDeterminism(t, "18b")
 }
 

@@ -80,6 +80,39 @@ func TestMetroIncrementalModeEquivalence(t *testing.T) {
 	}
 }
 
+// TestMetroCountersTotalMonitorRowsReused pins the monitor-row cache-hit
+// counter through the metro fold: a quiescent city (no churn, no mobility,
+// fading off) replays monitor rows from the incremental engine's cache, so
+// CountersTotal must report a non-zero sum. Results leaves the counter out,
+// since it differs between MMR_INCREMENTAL modes.
+func TestMetroCountersTotalMonitorRowsReused(t *testing.T) {
+	was := incr.Enabled
+	defer func() { incr.Enabled = was }()
+	incr.Enabled = true
+	cfg := DefaultConfig()
+	cfg.Clusters = 2
+	cfg.CellsPerCluster = 3 // a cell beyond serving + standby to monitor
+	cfg.ChurnArrivalRate = 0
+	cfg.MobileFraction = 0
+	cfg.Workers = 1
+	m, err := New(nr.Mu3(), cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer m.Close()
+	res := m.Run(0.5)
+	total := m.CountersTotal()
+	if total.MonitorProbes == 0 {
+		t.Fatal("no monitor probes: the fixture never monitors")
+	}
+	if total.MonitorRowsReused == 0 {
+		t.Fatalf("CountersTotal().MonitorRowsReused = 0 over %d monitor probes", total.MonitorProbes)
+	}
+	if res.Counters.MonitorRowsReused != 0 {
+		t.Fatalf("Results carries the mode-variant MonitorRowsReused = %d", res.Counters.MonitorRowsReused)
+	}
+}
+
 // TestMetroChurnBoundsResidency pins the streaming-aggregation memory
 // contract: with harvesting on, the resident UE population stays bounded
 // by the churn equilibrium while the folded session count keeps growing —

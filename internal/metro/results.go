@@ -102,6 +102,10 @@ func (m *Metro) Results() Results {
 		})
 		total.Merge(&sk)
 	}
+	// MonitorRowsReused is a cache-hit diagnostic that differs between
+	// MMR_INCREMENTAL modes; CountersTotal reports it, Results (which must
+	// be identical in both modes) does not.
+	res.Counters.MonitorRowsReused = 0
 	res.UEs = total.UEs
 	res.Measured = total.Measured
 	res.Slots = total.Slots()
@@ -125,6 +129,7 @@ func addCounters(dst *cluster.Counters, c cluster.Counters) {
 	dst.StandbyRetargets += c.StandbyRetargets
 	dst.MonitorRounds += c.MonitorRounds
 	dst.MonitorProbes += c.MonitorProbes
+	dst.MonitorRowsReused += c.MonitorRowsReused
 	dst.UEsAttached += c.UEsAttached
 	dst.UEsFinished += c.UEsFinished
 	dst.AdmissionDeferrals += c.AdmissionDeferrals

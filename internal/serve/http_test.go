@@ -87,6 +87,7 @@ func TestHTTPStatusAndMetrics(t *testing.T) {
 		"# TYPE mmserved_frame gauge",
 		"mmserved_resident_ues 8",
 		"# TYPE mmserved_handovers_total counter",
+		"# TYPE mmserved_monitor_rows_reused_total counter",
 		"mmserved_harvested_rel_hist{bin=\"0\"}",
 	} {
 		if !strings.Contains(buf.String(), want) {

@@ -52,6 +52,7 @@ func (s *Server) metricsText() string {
 	counter("mmserved_standby_retargets_total", "Standby legs re-pointed at stronger cells.", float64(cc.StandbyRetargets))
 	counter("mmserved_monitor_rounds_total", "Wide-beam monitor rounds.", float64(cc.MonitorRounds))
 	counter("mmserved_monitor_probes_total", "Wide-beam monitor probes.", float64(cc.MonitorProbes))
+	counter("mmserved_monitor_rows_reused_total", "Monitor probes replayed from the incremental engine's row cache (cache hits; 0 with MMR_INCREMENTAL=off).", float64(cc.MonitorRowsReused))
 	counter("mmserved_ues_attached_total", "UE admissions.", float64(cc.UEsAttached))
 	counter("mmserved_ues_finished_total", "UE departures.", float64(cc.UEsFinished))
 	counter("mmserved_admission_deferrals_total", "Arrivals deferred to a later boundary.", float64(cc.AdmissionDeferrals))
